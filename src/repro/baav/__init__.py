@@ -1,14 +1,6 @@
 """The BaaV model: KV schemas, keyed blocks, stores and maintenance."""
 
 from repro.baav.block import Block, BlockStats, split_block
-from repro.baav.frame import (
-    BlockSetFrame,
-    ColumnFrame,
-    group_fold,
-    hash_probe,
-    project,
-    select_mask,
-)
 from repro.baav.maintenance import Maintainer
 from repro.baav.schema import BaaVSchema, KVSchema, kv_schema, taav_equivalent_schema
 from repro.baav.store import BaaVStore, KVInstance
@@ -17,17 +9,11 @@ __all__ = [
     "BaaVSchema",
     "BaaVStore",
     "Block",
-    "BlockSetFrame",
     "BlockStats",
-    "ColumnFrame",
     "KVInstance",
     "KVSchema",
     "Maintainer",
-    "group_fold",
-    "hash_probe",
     "kv_schema",
-    "project",
-    "select_mask",
     "split_block",
     "taav_equivalent_schema",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -24,9 +23,6 @@ from typing import (
 
 from repro.kv import codec
 from repro.relational.types import Row
-
-if TYPE_CHECKING:
-    from repro.baav.frame import ColumnFrame
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,6 @@ class Block:
             for _ in range(count):
                 yield row
 
-    def rows_with_counts(self) -> List[Tuple[Row, int]]:
-        return list(self.entries)
-
     def add(self, row: Row, count: int = 1, compress: bool = True) -> None:
         row = tuple(row)
         if compress:
@@ -153,25 +146,6 @@ class Block:
         return out
 
     # -- codec ----------------------------------------------------------------
-
-    def to_frame(self, attrs: Optional[Sequence[str]] = None) -> "ColumnFrame":
-        """Columnar view of this block (PR 10).
-
-        ``attrs`` names the value attributes; positional ``c0..cN``
-        names are generated when omitted (a bare block does not know
-        its schema).
-        """
-        from repro.baav.frame import ColumnFrame
-
-        if attrs is None:
-            width = len(self.entries[0][0]) if self.entries else 0
-            attrs = tuple(f"c{i}" for i in range(width))
-        return ColumnFrame.from_entries(tuple(attrs), self.entries)
-
-    @classmethod
-    def from_frame(cls, frame: "ColumnFrame") -> "Block":
-        """Rebuild a block from a columnar frame (inverse of to_frame)."""
-        return cls(frame.to_entries())
 
     def encode(self) -> bytes:
         return codec.encode_entries(self.entries)

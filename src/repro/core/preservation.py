@@ -16,9 +16,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.baav.schema import BaaVSchema, KVSchema
+from repro.baav.schema import BaaVSchema
 from repro.core.closure import closures
 from repro.relational.schema import DatabaseSchema
 from repro.sql.minimize import minimize
@@ -110,19 +110,3 @@ def is_result_preserving(
         else:
             report.witnesses[alias] = witness
     return report
-
-
-def covering_schema(
-    alias: str,
-    relation: str,
-    x_attrs: Set[str],
-    baav: BaaVSchema,
-    clo: Optional[Dict[str, FrozenSet[str]]] = None,
-) -> Optional[KVSchema]:
-    """The first KV schema over ``relation`` whose closure covers ``x_attrs``."""
-    clo = clo if clo is not None else closures(baav)
-    target = {f"{relation}.{attr.split('.', 1)[1]}" for attr in x_attrs}
-    for kv_schema in baav.over_relation(relation):
-        if target <= clo[kv_schema.name]:
-            return kv_schema
-    return None

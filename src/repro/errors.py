@@ -77,10 +77,6 @@ class KVError(ReproError):
     """Base class for KV storage errors."""
 
 
-class KeyNotFoundError(KVError):
-    """``get`` was called for a key that is not present."""
-
-
 class ClusterUnavailableError(KVError):
     """No live node can serve the request (every cluster node is down).
 
@@ -141,14 +137,6 @@ class PlanError(ReproError):
 
 class ExecutionError(ReproError):
     """A plan failed during execution."""
-
-
-class CompileError(ExecutionError):
-    """An expression or plan fragment is outside the vectorizing
-    compiler's subset (aggregate calls, unknown operators, unbound
-    columns). Internal to :mod:`repro.kba.compile`: handlers catch it
-    and fall back to row-at-a-time execution, so it never escapes to
-    callers of a vectorized plan."""
 
 
 class ServiceError(ReproError):

@@ -8,7 +8,6 @@ costs to workers and stages.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -26,19 +25,6 @@ from repro.sql.algebra import AggSpec
 #: default number of probe keys coalesced into one multi-get batch
 DEFAULT_BATCH_SIZE = 64
 
-#: environment override turning compiled columnar execution on for every
-#: ExecContext that does not pass ``vectorized`` explicitly (the CI
-#: vectorized rerun sets ``REPRO_VECTORIZED=1``)
-VECTORIZED_ENV = "REPRO_VECTORIZED"
-
-
-def resolve_vectorized(flag: Optional[bool]) -> bool:
-    """Resolve the vectorized knob: arg > ``REPRO_VECTORIZED`` > off."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(VECTORIZED_ENV, "0") not in ("", "0")
-
-
 class ExecContext:
     """Stores available to a KBA plan execution.
 
@@ -48,13 +34,6 @@ class ExecContext:
     the parallel engine sets it to its worker count so each partition
     coalesces only its own probes, as real workers would. Both knobs must
     be >= 1; out-of-range values raise :class:`ExecutionError`.
-
-    ``vectorized`` selects compiled columnar execution
-    (:mod:`repro.kba.compile`): operators evaluate once-compiled
-    positional kernels over whole-frame columns instead of per-row
-    ``eval`` dicts. ``None`` defers to the ``REPRO_VECTORIZED``
-    environment variable (default off). Results and storage counters are
-    identical across modes — only wall-clock changes.
     """
 
     def __init__(
@@ -64,7 +43,6 @@ class ExecContext:
         batch_size: int = DEFAULT_BATCH_SIZE,
         batch_partitions: int = 1,
         indexes=None,
-        vectorized: Optional[bool] = None,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError("batch_size must be >= 1")
@@ -76,7 +54,6 @@ class ExecContext:
         self.batch_partitions = batch_partitions
         #: optional repro.index.IndexManager serving IndexProbe leaves
         self.indexes = indexes
-        self.vectorized = resolve_vectorized(vectorized)
 
     def instance(self, name: str):
         if self.baav is None:
@@ -85,16 +62,7 @@ class ExecContext:
 
 
 def execute(node: kp.KBANode, ctx: ExecContext) -> BlockSet:
-    """Execute a KBA plan and return its BlockSet result.
-
-    With ``ctx.vectorized`` the plan is compiled once into a chain of
-    fused closures (:func:`repro.kba.compile.compile_plan`) and run;
-    otherwise each operator is interpreted row-at-a-time.
-    """
-    if ctx.vectorized:
-        from repro.kba.compile import run_compiled
-
-        return run_compiled(node, ctx)
+    """Execute a KBA plan and return its BlockSet result."""
     inputs = [execute(child, ctx) for child in node.children()]
     return execute_node(node, ctx, inputs)
 
@@ -106,16 +74,7 @@ def execute_node(
 
     The parallel engine (M3) drives its own recursion through this entry
     so it can meter storage counters and intermediate sizes per operator.
-    With ``ctx.vectorized`` the expression-heavy operators dispatch to
-    their compiled columnar handlers (same results, same counters); node
-    types without a vectorized form use the row handlers either way.
     """
-    if ctx.vectorized:
-        from repro.kba.compile import VEC_HANDLERS
-
-        vec_handler = VEC_HANDLERS.get(type(node))
-        if vec_handler is not None:
-            return vec_handler(node, ctx, inputs)
     handler = _HANDLERS.get(type(node))
     if handler is None:
         raise ExecutionError(f"no handler for KBA node {type(node).__name__}")

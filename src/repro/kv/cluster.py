@@ -1173,19 +1173,6 @@ class KVCluster:
                 for node_id, node in self.nodes.items()
             }
 
-    def max_node_counters(self) -> NodeCounters:
-        """Counters of the busiest node (for max-per-stage cost models)."""
-        with self._lock.read():
-            busiest = NodeCounters()
-            best = -1.0
-            for node in self.nodes.values():
-                counters = node.counters_total()
-                weight = counters.gets + counters.values_read
-                if weight > best:
-                    best = weight
-                    busiest = counters
-            return busiest
-
     def get_stats(self) -> ClusterStats:
         """A snapshot-consistent view of the cluster's accounting.
 

@@ -21,20 +21,15 @@ converting them into simulated time with :class:`CostModel`.
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.baav.store import BaaVStore
 from repro.core.plangen import ZidianPlan, substitute_table
-from repro.errors import CompileError, ExecutionError
+from repro.errors import ExecutionError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet
-from repro.kba.compile import compile_row
-from repro.kba.executor import (
-    DEFAULT_BATCH_SIZE,
-    ExecContext,
-    execute_node,
-    resolve_vectorized,
-)
+from repro.kba.executor import DEFAULT_BATCH_SIZE, ExecContext, execute_node
 from repro.kv.backends import BackendProfile
 from repro.kv.cluster import KVCluster
 from repro.kv.node import NodeCounters
@@ -62,6 +57,9 @@ def _table_values(table: Table) -> int:
     return len(table.rows) * len(table.attrs)
 
 
+_NODE_COUNTER_FIELDS = tuple(f.name for f in fields(NodeCounters))
+
+
 class _CounterProbe:
     """Snapshot/diff of the CALLING THREAD's cluster counters.
 
@@ -80,17 +78,10 @@ class _CounterProbe:
 
     def delta(self) -> NodeCounters:
         now = self._snapshot()
-        diff = NodeCounters(
-            gets=now.gets - self._last.gets,
-            hits=now.hits - self._last.hits,
-            puts=now.puts - self._last.puts,
-            deletes=now.deletes - self._last.deletes,
-            values_read=now.values_read - self._last.values_read,
-            values_written=now.values_written - self._last.values_written,
-            bytes_out=now.bytes_out - self._last.bytes_out,
-            bytes_in=now.bytes_in - self._last.bytes_in,
-            round_trips=now.round_trips - self._last.round_trips,
-        )
+        diff = NodeCounters(**{
+            name: getattr(now, name) - getattr(self._last, name)
+            for name in _NODE_COUNTER_FIELDS
+        })
         self._last = now
         return diff
 
@@ -199,7 +190,6 @@ class BaselineEngine:
         batch_size: int = 1,
         cache=None,
         indexes=None,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.taav = taav
         self.cluster = cluster
@@ -213,10 +203,6 @@ class BaselineEngine:
         self.cache = cache
         #: optional repro.index.IndexManager enabling index access paths
         self.indexes = indexes
-        #: compiled positional filters/projections instead of per-row
-        #: eval dicts; None defers to REPRO_VECTORIZED (PR 10). Storage
-        #: counters and simulated cost are identical across modes.
-        self.vectorized = resolve_vectorized(vectorized)
         #: alias -> access-path description of the last execute()
         self.access: Dict[str, str] = {}
         # storage service time spreads over the LIVE nodes only —
@@ -287,7 +273,11 @@ class BaselineEngine:
                 if fetched is not None:
                     return fetched
             child = self._run(node.child, metrics, probe, cache_probe)
-            rows = self._filter_rows(node.predicate, child.attrs, child.rows)
+            rows = [
+                r
+                for r in child.rows
+                if node.predicate.eval(dict(zip(child.attrs, r)))
+            ]
             metrics.add_stage(
                 self.model.compute_stage("select", _table_values(child))
             )
@@ -388,24 +378,6 @@ class BaselineEngine:
             f"baseline engine: unsupported node {type(node).__name__}"
         )
 
-    def _filter_rows(self, predicate, attrs, rows) -> List:
-        """σ over table rows; compiled positional closure when vectorized.
-
-        The compiled filter returns exactly what ``predicate.eval`` would
-        per row; expressions outside the compilable subset fall back to
-        the eval path, so the knob never changes results.
-        """
-        if self.vectorized:
-            try:
-                fn = compile_row(predicate, tuple(attrs))
-            except CompileError:
-                pass
-            else:
-                return [r for r in rows if fn(r)]
-        return [
-            r for r in rows if predicate.eval(dict(zip(attrs, r)))
-        ]
-
     def _choose_index(self, scan: algebra.ScanNode, predicate):
         """The index path a selection-over-scan admits, if any."""
         from repro.index.selection import choose_from_conjuncts
@@ -456,7 +428,9 @@ class BaselineEngine:
         ]
         # the index answered the chosen conjunct exactly; the FULL
         # predicate is still applied so the other conjuncts hold too
-        rows = self._filter_rows(predicate, attrs, fetched)
+        rows = [
+            r for r in fetched if predicate.eval(dict(zip(attrs, r)))
+        ]
         delta = probe.delta()
         hits, misses = cache_probe.delta()
         probes, postings = idx_probe.delta()
@@ -525,14 +499,6 @@ class BaselineEngine:
             positions = [child.position(e.name) for e in exprs]  # type: ignore[attr-defined]
             rows = [tuple(r[p] for p in positions) for r in child.rows]
             return Table(names, rows)
-        if self.vectorized:
-            try:
-                fns = [compile_row(e, tuple(child.attrs)) for e in exprs]
-            except CompileError:
-                pass
-            else:
-                rows = [tuple(fn(r) for fn in fns) for r in child.rows]
-                return Table(names, rows)
         rows = []
         for row in child.rows:
             env = dict(zip(child.attrs, row))
@@ -553,7 +519,6 @@ class ZidianEngine:
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache=None,
         indexes=None,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.baav = baav
         self.taav = taav
@@ -569,21 +534,14 @@ class ZidianEngine:
         # storage service time spreads over the LIVE nodes only —
         # a failed node serves nothing
         self.model = CostModel(profile, workers, cluster.num_live_nodes)
-        # each worker partition coalesces its own probe batches; the
-        # vectorized knob (None -> REPRO_VECTORIZED) swaps the per-node
-        # handlers for compiled columnar kernels. The per-operator walk
-        # below is kept either way so each stage is metered separately —
-        # stage structure, simulated cost and storage counters are
-        # mode-invariant (PR 10).
+        # each worker partition coalesces its own probe batches
         self.ctx = ExecContext(
             baav,
             taav,
             batch_size=batch_size,
             batch_partitions=workers,
             indexes=indexes,
-            vectorized=vectorized,
         )
-        self.vectorized = self.ctx.vectorized
 
     def execute(
         self, plan: ZidianPlan, database_for_top: Optional[Database] = None

@@ -283,7 +283,6 @@ class SQLOverNoSQL(TransactionalMixin):
         durability: Optional[str] = None,
         fsync_policy: str = "group",
         indexes: Sequence = (),
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.profile: BackendProfile = get_profile(backend)
         self.workers = workers
@@ -302,10 +301,6 @@ class SQLOverNoSQL(TransactionalMixin):
         # per-key gets by default — the conventional stack the paper
         # measures; raise to model a multi-get-capable client
         self.batch_size = batch_size
-        # vectorized=None defers to REPRO_VECTORIZED (default off);
-        # True compiles filters/projections into positional closures
-        # (PR 10) — same results and counters, less interpreter time
-        self.vectorized = vectorized
         self.cache = make_cache(cache_capacity_bytes, partitions=workers)
         self.indexes = IndexManager(self.cluster, cache=self.cache)
         self._requested_indexes = [_parse_index_spec(s) for s in indexes]
@@ -359,7 +354,6 @@ class SQLOverNoSQL(TransactionalMixin):
             batch_size=self.batch_size,
             cache=self.cache,
             indexes=self.indexes if len(self.indexes) else None,
-            vectorized=self.vectorized,
         )
 
     def execute(self, sql: str) -> QueryResult:
@@ -450,7 +444,6 @@ class ZidianSystem(TransactionalMixin):
         durability: Optional[str] = None,
         fsync_policy: str = "group",
         indexes: Sequence = (),
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.profile: BackendProfile = get_profile(backend)
         self.workers = workers
@@ -468,10 +461,6 @@ class ZidianSystem(TransactionalMixin):
         )
         # probe keys coalesced per multi-get round (1 = per-key probes)
         self.batch_size = batch_size
-        # vectorized=None defers to REPRO_VECTORIZED (default off);
-        # True runs KBA operators as compiled columnar kernels (PR 10)
-        # — same results and counters, less interpreter time
-        self.vectorized = vectorized
         # client-side read-through block cache, partitioned per worker
         # (0 = off — paper reproductions measure BaaV's contribution alone)
         self.cache = make_cache(cache_capacity_bytes, partitions=workers)
@@ -613,7 +602,6 @@ class ZidianSystem(TransactionalMixin):
             batch_size=self.batch_size,
             cache=self.cache,
             indexes=self.indexes if len(self.indexes) else None,
-            vectorized=self.vectorized,
         )
         table, metrics = engine.execute(plan)
         return QueryResult(

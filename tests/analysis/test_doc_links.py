@@ -11,9 +11,9 @@ import check_doc_links as cdl  # noqa: E402
 
 class TestReferenceExtraction:
     def test_path_refs_extracted(self):
-        text = "see `src/repro/kba/compile.py` and `docs/ARCHITECTURE.md`"
+        text = "see `src/repro/kba/executor.py` and `docs/ARCHITECTURE.md`"
         assert list(cdl.references(text)) == [
-            ("path", "src/repro/kba/compile.py"),
+            ("path", "src/repro/kba/executor.py"),
             ("path", "docs/ARCHITECTURE.md"),
         ]
 
@@ -24,23 +24,23 @@ class TestReferenceExtraction:
         ]
 
     def test_module_refs_extracted(self):
-        text = "uses `repro.kba.compile` and `repro.baav.frame.select_mask`"
+        text = "uses `repro.kba.executor` and `repro.baav.block.split_block`"
         assert [r for _, r in cdl.references(text)] == [
-            "repro.kba.compile",
-            "repro.baav.frame.select_mask",
+            "repro.kba.executor",
+            "repro.baav.block.split_block",
         ]
 
     def test_shell_and_env_snippets_ignored(self):
         text = (
             "run `PYTHONPATH=src python -m pytest -q` with "
-            "`REPRO_VECTORIZED=1` or `pip install x`; `a and b`"
+            "`REPRO_MVCC=0` or `pip install x`; `a and b`"
         )
         assert list(cdl.references(text)) == []
 
 
 class TestResolution:
     def test_existing_path(self):
-        assert cdl.path_exists("src/repro/kba/compile.py")
+        assert cdl.path_exists("src/repro/kba/executor.py")
 
     def test_missing_path(self):
         assert not cdl.path_exists("src/repro/kba/nonexistent.py")
@@ -50,14 +50,14 @@ class TestResolution:
         assert not cdl.path_exists("benchmarks/baselines/NOPE_*.json")
 
     def test_module(self):
-        assert cdl.module_exists("repro.kba.compile")
+        assert cdl.module_exists("repro.kba.executor")
         assert cdl.module_exists("repro.kba")  # package __init__
         assert not cdl.module_exists("repro.kba.imaginary")
 
     def test_module_symbol(self):
-        assert cdl.module_exists("repro.kba.compile.compile_plan")
-        assert cdl.module_exists("repro.baav.frame.ColumnFrame")
-        assert not cdl.module_exists("repro.kba.compile.not_a_symbol")
+        assert cdl.module_exists("repro.kba.executor.execute_node")
+        assert cdl.module_exists("repro.baav.block.Block")
+        assert not cdl.module_exists("repro.kba.executor.not_a_symbol")
 
 
 def test_shipped_docs_have_no_stale_references():

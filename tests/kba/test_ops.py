@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baav import BaaVSchema, BaaVStore, kv_schema
+from repro.errors import ExecutionError
 from repro.kba import (
     Constant,
     CopyK,
@@ -230,3 +231,15 @@ class TestTaaVScanLeaf:
         out = execute(TaaVScan("NATION", "N"), ctx)
         assert out.num_tuples() == 3
         assert "N.name" in out.attrs
+
+
+class TestExecContext:
+    def test_batch_partitions_below_one_rejected(self):
+        with pytest.raises(ExecutionError):
+            ExecContext(None, batch_partitions=0)
+        with pytest.raises(ExecutionError):
+            ExecContext(None, batch_partitions=-2)
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ExecutionError):
+            ExecContext(None, batch_size=0)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from repro.kv.backends import CASSANDRA, HBASE, KUDU, profile
@@ -100,3 +102,54 @@ class TestMetrics:
 
     def test_mean_of_empty(self):
         assert mean_metrics([]).sim_time_ms == 0
+
+
+#: ExecutionMetrics fields that are not summed counters
+NON_COUNTERS = {"snapshot_epoch", "stages", "workers", "storage_nodes",
+                "backend"}
+#: StageCost counters whose ExecutionMetrics total has another name
+STAGE_RENAMES = {"time_ms": "sim_time_ms", "gets": "n_get",
+                 "values": "data_values", "round_trips": "n_round_trips"}
+
+
+class TestMetricFields:
+    """Every counter field is summed and averaged, found by walking the
+    dataclass fields so a newly added counter is covered automatically."""
+
+    counters = [f for f in fields(ExecutionMetrics)
+                if f.name not in NON_COUNTERS]
+
+    def test_add_stage_sums_every_stage_counter(self):
+        stage = StageCost("s")
+        stage_counters = [f.name for f in fields(StageCost)
+                          if f.name not in ("name", "skew")]
+        for i, name in enumerate(stage_counters, start=1):
+            setattr(stage, name, i)
+        metrics = ExecutionMetrics()
+        metrics.add_stage(stage)
+        metrics.add_stage(stage)
+        for i, name in enumerate(stage_counters, start=1):
+            assert getattr(metrics, STAGE_RENAMES.get(name, name)) == 2 * i
+
+    def test_merge_sums_every_counter(self):
+        a, b = ExecutionMetrics(snapshot_epoch=3), ExecutionMetrics()
+        for i, f in enumerate(self.counters, start=1):
+            setattr(a, f.name, i)
+            setattr(b, f.name, 10 * i)
+        a.merge(b)
+        for i, f in enumerate(self.counters, start=1):
+            assert getattr(a, f.name) == 11 * i, f.name
+        assert a.snapshot_epoch == 3
+
+    def test_mean_averages_every_counter(self):
+        a, b = ExecutionMetrics(), ExecutionMetrics()
+        for i, f in enumerate(self.counters, start=1):
+            setattr(a, f.name, 2 * i)
+            setattr(b, f.name, 2 * i + 1)
+        mean = mean_metrics([a, b])
+        for i, f in enumerate(self.counters, start=1):
+            value = getattr(mean, f.name)
+            if isinstance(f.default, float):
+                assert value == 2 * i + 0.5, f.name
+            else:
+                assert value == 2 * i and isinstance(value, int), f.name

@@ -5,12 +5,12 @@ Scans README.md, ROADMAP.md and docs/*.md for backticked references and
 verifies each against the tree:
 
 * **path refs** — whole backtick contents that look like a repository
-  path (``src/repro/kba/compile.py``, ``benchmarks/baselines/*.json``).
+  path (``src/repro/kba/executor.py``, ``benchmarks/baselines/*.json``).
   Resolved relative to the repo root, then ``src/``; ``*`` wildcards go
   through glob and must match at least one file; a trailing
   ``:<line>`` anchor is ignored.
 * **module refs** — whole backtick contents of the form
-  ``repro.kba.compile`` or ``repro.kba.compile.compile_plan``. The
+  ``repro.kba.executor`` or ``repro.kba.executor.execute_node``. The
   module must resolve under ``src/``; when the last component is not a
   module it must name a top-level symbol (def / class / assignment) of
   the parent module, checked via AST.
