@@ -11,7 +11,18 @@ distinct on ``W ∩ Y``. When the relation's primary key is contained in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
@@ -96,17 +107,40 @@ class KVSchema:
 
 
 class BaaVSchema:
-    """A set of KV schemas — the paper's ``R̃``."""
+    """A set of KV schemas — the paper's ``R̃``.
+
+    Two tables derived from the set alone are kept beside it: the KV
+    schemas of each relation, behind :meth:`over_relation`, and ``clo``,
+    the closures ``clo(R̃, R̃)`` of §5.2 by KV schema name. ``clo`` is
+    filled by :func:`repro.core.closure.closures` on first use, so every
+    query is checked against one copy. :meth:`add` extends the first and
+    resets the second.
+    """
 
     def __init__(self, schemas: Iterable[KVSchema] = ()) -> None:
         self._schemas: Dict[str, KVSchema] = {}
+        self._by_relation: Dict[str, List[KVSchema]] = {}
+        self.clo: Optional[Mapping[str, FrozenSet[str]]] = None
         for schema in schemas:
             self.add(schema)
 
     def add(self, schema: KVSchema) -> None:
+        """Add a KV schema; the closures are recomputed on next use.
+
+        A schema-design step (e.g. adding a ``suggest_schemas``
+        suggestion to the schema a live ``Zidian`` plans over): do not run
+        it while queries on the same schema are being planned.
+        """
         if schema.name in self._schemas:
             raise SchemaError(f"duplicate KV schema name {schema.name!r}")
         self._schemas[schema.name] = schema
+        self._by_relation.setdefault(schema.relation.name, []).append(schema)
+        self.clo = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # clo is derived, and its read-only proxy cannot be pickled or
+        # deep-copied; the copy recomputes it on first use
+        return {**self.__dict__, "clo": None}
 
     def __iter__(self) -> Iterator[KVSchema]:
         return iter(self._schemas.values())
@@ -124,8 +158,8 @@ class BaaVSchema:
             raise SchemaError(f"unknown KV schema {name!r}") from None
 
     def over_relation(self, relation: str) -> List[KVSchema]:
-        """All KV schemas declared over ``relation``."""
-        return [s for s in self if s.relation.name == relation]
+        """All KV schemas declared over ``relation``, in insertion order."""
+        return list(self._by_relation.get(relation, ()))
 
     def relations(self) -> Set[str]:
         return {s.relation.name for s in self}

@@ -10,11 +10,17 @@ Attributes are qualified by relation name (``REL.attr``) since the paper
 assumes each KV schema draws its attributes from one relation schema.
 Chaining therefore happens among KV schemas of the same relation unless two
 relations deliberately share qualified attribute names (they cannot here).
+
+``clo(R̃, R̃)`` depends on the BaaV schema alone, so :func:`closures` computes
+it once per schema and keeps it in ``BaaVSchema.clo`` until the next
+``BaaVSchema.add``; each query then only tests its attributes against it
+(Condition (II)).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from types import MappingProxyType
+from typing import FrozenSet, Iterable, List, Mapping, Set
 
 from repro.baav.schema import BaaVSchema, KVSchema
 
@@ -51,7 +57,16 @@ def closure(start: KVSchema, schemas: Iterable[KVSchema]) -> FrozenSet[str]:
     return frozenset(clo)
 
 
-def closures(baav: BaaVSchema) -> Dict[str, FrozenSet[str]]:
-    """``clo(R̃, R̃)`` for every KV schema of a BaaV schema."""
-    pool = list(baav)
-    return {schema.name: closure(schema, pool) for schema in pool}
+def closures(baav: BaaVSchema) -> Mapping[str, FrozenSet[str]]:
+    """``clo(R̃, R̃)`` for every KV schema of a BaaV schema, read-only.
+
+    Computed on first use and shared until ``baav.add``. Two threads that
+    race on first use each build a full mapping and publish it with one
+    assignment, so the race only duplicates work.
+    """
+    clo = baav.clo
+    if clo is None:
+        pool = list(baav)
+        clo = MappingProxyType({s.name: closure(s, pool) for s in pool})
+        baav.clo = clo
+    return clo

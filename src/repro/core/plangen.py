@@ -488,7 +488,7 @@ class _ChainState:
 
     def _score(
         self, alias: str, schema: KVSchema, avail: Set[str]
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, int]:
         gain_needed = sum(
             1
             for a in schema.attributes

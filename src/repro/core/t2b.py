@@ -74,6 +74,9 @@ def suggest_schemas(
     For each unsupported access pattern, proposes the T2B-initial schema
     that would support it, with a size estimate the user can weigh
     against the storage budget before adding it with ``BaaVSchema.add``.
+    The schema may be the one a live ``Zidian`` plans over: ``add``
+    resets its shared closures, so the next query is checked against
+    the extended schema.
     """
     existing_candidates = [
         _Candidate(s.relation, s.key, s.value) for s in existing

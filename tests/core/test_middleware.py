@@ -1,9 +1,15 @@
 """Tests for the Zidian middleware facade (M1 + M2 + diagnostics)."""
 
+import random
+from collections import Counter
+from importlib import import_module
+
 import pytest
 
-from repro.core import Zidian
+from repro.baav import BaaVSchema, KVSchema, kv_schema
+from repro.core import QCS, Zidian, suggest_schemas
 from repro.errors import SQLAnalysisError, SQLSyntaxError
+from repro.workloads.airca import TEMPLATES, airca_baav_schema, sample_params
 
 
 @pytest.fixture()
@@ -83,3 +89,64 @@ class TestExplain:
         text = zidian.explain(sql)
         assert "min(Q)" in text
         assert "S2" not in text.split("min(Q)")[1].splitlines()[0]
+
+
+class TestSharedClosures:
+    """M1 tests each query against clo(R̃, R̃) computed once per schema."""
+
+    def test_add_of_a_suggestion_reaches_a_live_middleware(
+        self, paper_db, paper_schemas
+    ):
+        supplier, partsupp, nation = paper_schemas
+        baav = BaaVSchema(
+            [
+                kv_schema("nation_by_name", nation, ["name"]),
+                kv_schema("sup_by_nation", supplier, ["nationkey"]),
+                KVSchema(
+                    "ps_partial", partsupp, ["suppkey"], ["partkey", "supplycost"]
+                ),
+            ]
+        )
+        zidian = Zidian(paper_db.schema, baav)
+        sql = "select PS.availqty from PARTSUPP PS where PS.partkey = 100"
+        before = zidian.decide(sql)
+        assert not before.answerable
+        assert before.preservation.missing == ["PS"]
+        assert not zidian.data_preserving().preserved
+
+        missing = QCS(
+            "PARTSUPP", frozenset({"partkey", "availqty"}), frozenset({"partkey"})
+        )
+        suggestions = suggest_schemas(paper_db.schema, [missing], baav, paper_db)
+        assert suggestions
+        for suggestion in suggestions:
+            baav.add(suggestion.kv_schema)
+
+        after = zidian.decide(sql)
+        assert after.answerable and after.is_scan_free
+        assert "answerable=True" in zidian.explain(sql)
+
+    def test_planning_computes_each_closure_once(self, airca_small, monkeypatch):
+        # the package re-exports the function under the module's name
+        closure_module = import_module("repro.core.closure")
+        fresh = closure_module.closure
+        calls: Counter = Counter()
+
+        def counting(start, schemas):
+            calls[start.name] += 1
+            return fresh(start, schemas)
+
+        monkeypatch.setattr(closure_module, "closure", counting)
+        baav = airca_baav_schema()
+        zidian = Zidian(airca_small.schema, baav)
+        rng = random.Random(5)
+        names = sorted(TEMPLATES)
+        for i in range(50):
+            sql = TEMPLATES[names[i % len(names)]].format(
+                **sample_params(airca_small, rng)
+            )
+            zidian.plan(sql)
+        zidian.explain(sql)
+        zidian.data_preserving()
+        assert set(calls) == {s.name for s in baav}
+        assert max(calls.values()) == 1
